@@ -17,9 +17,9 @@
 //!
 //! * [`WakeSignal`] — a latch for background workers (the LSM compactor)
 //!   combining a wake flag, a shutdown flag and a timed wait.
-//! * [`handoff`] — a small bounded MPSC channel used for the feed-flow
-//!   spill-queue handoff, replacing the previous crossbeam queue on that
-//!   path so the lost-wakeup proof covers the real code.
+//! * [`handoff`] — a small bounded MPSC channel behind feed-joint
+//!   subscriber queues and cluster event subscriptions, so the lost-wakeup
+//!   proof covers the real code.
 //! * [`thread`] — the workspace's only sanctioned way to start an OS
 //!   thread. Runtime code is forbidden (by the `raw-thread-spawn` lint
 //!   rule) from calling `std::thread::spawn` directly; every background
@@ -447,14 +447,14 @@ impl WakeSignal {
 
 pub mod handoff {
     //! Bounded MPSC handoff channel built on the cfg-switched [`Mutex`] /
-    //! [`Condvar`](super::Condvar), so the loom model of the feed-flow
-    //! spill-queue handoff exercises this exact implementation.
+    //! [`Condvar`](super::Condvar), so the loom model of the handoff
+    //! exercises this exact implementation.
     //!
-    //! Semantics mirror the subset of `crossbeam_channel` the flow
-    //! controller uses: bounded capacity, non-blocking [`Sender::try_send`]
-    //! distinguishing *full* from *disconnected*, blocking [`Sender::send`],
-    //! and a blocking [`Receiver::iter`] that ends once every sender is
-    //! dropped and the queue is drained.
+    //! Semantics mirror the subset of `crossbeam_channel` its callers use:
+    //! bounded capacity, non-blocking [`Sender::try_send`] distinguishing
+    //! *full* from *disconnected*, blocking [`Sender::send`], and a blocking
+    //! [`Receiver::iter`] that ends once every sender is dropped and the
+    //! queue is drained.
 
     use super::{Condvar, Mutex};
     use std::collections::VecDeque;
@@ -718,7 +718,7 @@ pub mod thread {
     /// Spawn a named OS thread.
     ///
     /// Returns `Err` only if the OS refuses to create the thread (resource
-    /// exhaustion); callers on degradable paths (e.g. the feed-flow pusher)
+    /// exhaustion); callers on degradable paths (e.g. the collect flusher)
     /// can downgrade instead of panicking.
     pub fn spawn_named<T, F>(
         name: impl Into<String>,

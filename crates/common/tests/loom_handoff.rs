@@ -1,5 +1,5 @@
-//! Loom models of the feed-flow spill-queue handoff channel and the
-//! compactor [`WakeSignal`]: exhaustive interleaving checks that no
+//! Loom models of the bounded handoff channel (behind feed-joint subscriber
+//! queues) and the compactor [`WakeSignal`]: exhaustive interleaving checks that no
 //! schedule loses a wakeup.
 //!
 //! Run with: `RUSTFLAGS="--cfg loom" cargo test -p asterix-common --test loom_handoff`

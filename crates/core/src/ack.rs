@@ -181,7 +181,7 @@ impl AckTracker {
     /// when an intake instance dies hard: the unacked in-flight records are
     /// parked with the zombie state so the successor can re-emit them,
     /// closing the at-least-once window for records that were sitting in
-    /// the hand-off queue when the node went down (§6.2.2).
+    /// an output port when the node went down (§6.2.2).
     pub fn drain_pending(&self) -> Vec<Record> {
         let mut pending = self.pending.lock();
         pending.drain().map(|(_, p)| p.record).collect()

@@ -171,7 +171,8 @@ struct State {
 /// Tuning knobs for the controller.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Hand-off queue depth per intake (frames) — the congestion sensor.
+    /// Depth (frames) of each intake's output port — the congestion sensor
+    /// of its flow controller.
     pub flow_capacity: usize,
     /// Ack grouping window for at-least-once.
     pub ack_window: SimDuration,
@@ -1107,6 +1108,9 @@ impl FeedController {
             .ok_or_else(|| IngestError::Plan(format!("no live joint '{}'", seg.in_joint)))?;
         let mut job = JobSpec::new(format!("compute:{}", seg.out_joint));
         job.transport = self.config.transport;
+        // the intake's output is the job's only edge: its port depth is the
+        // flow controller's congestion sensor
+        job.queue_capacity = self.config.flow_capacity;
         let intake = job.add_operator(Box::new(IntakeDesc {
             joint_id: seg.in_joint.clone(),
             sub_key: format!("compute:{}", seg.out_joint),
@@ -1114,7 +1118,6 @@ impl FeedController {
             policy: seg.policy.clone(),
             metrics: Arc::clone(&seg.metrics),
             elastic_tx: self.elastic_sender(),
-            flow_capacity: self.config.flow_capacity,
             ack: seg.ack.clone(),
             connection_key: format!("compute:{}", seg.out_joint),
             feed: seg.feed_id,
@@ -1143,6 +1146,9 @@ impl FeedController {
             .ok_or_else(|| IngestError::Plan(format!("no live joint '{}'", seg.in_joint)))?;
         let mut job = JobSpec::new(format!("route:{}", seg.plan.name));
         job.transport = self.config.transport;
+        // the intake's output is the job's only edge: its port depth is the
+        // flow controller's congestion sensor
+        job.queue_capacity = self.config.flow_capacity;
         let intake = job.add_operator(Box::new(IntakeDesc {
             joint_id: seg.in_joint.clone(),
             sub_key: format!("route:{}", seg.plan.name),
@@ -1150,7 +1156,6 @@ impl FeedController {
             policy: seg.policy.clone(),
             metrics: Arc::clone(&seg.metrics),
             elastic_tx: self.elastic_sender(),
-            flow_capacity: self.config.flow_capacity,
             ack: None,
             connection_key: format!("route:{}", seg.plan.name),
             feed: seg.feed_id,
@@ -1229,6 +1234,9 @@ impl FeedController {
         };
         let mut job = JobSpec::new(format!("store:{}", conn.key));
         job.transport = self.config.transport;
+        // the intake's output is the job's only edge: its port depth is the
+        // flow controller's congestion sensor
+        job.queue_capacity = self.config.flow_capacity;
         let intake = job.add_operator(Box::new(IntakeDesc {
             joint_id: conn.source_joint.clone(),
             sub_key: format!("conn:{}", conn.key),
@@ -1236,7 +1244,6 @@ impl FeedController {
             policy: conn.policy.clone(),
             metrics: Arc::clone(&conn.metrics),
             elastic_tx: self.elastic_sender(),
-            flow_capacity: self.config.flow_capacity,
             ack: ack_plumbing,
             connection_key: conn.key.clone(),
             feed: conn.feed_id,

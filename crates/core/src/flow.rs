@@ -2,12 +2,14 @@
 //!
 //! "An expensive UDF or an increased rate of arrival of data may lead to an
 //! excessive demand for resources leading to delays in the processing of
-//! records" (§7.1). The intake operator of every pipeline pushes frames
-//! through a [`FlowController`]: a bounded hand-off queue drained by a
-//! pusher thread into the (back-pressured) downstream stage. While the
-//! queue accepts, data flows normally; when it is full the arriving frame
-//! is *excess* and the connection's ingestion policy decides its fate
-//! (Table 4.2):
+//! records" (§7.1). Every intake operator applies a [`FlowController`] to
+//! the frames it pulls off its joint, inline on its own scheduler slice:
+//! the controller owns the intake's output writer and forwards a frame
+//! straight into it. A frame is *excess* when it cannot be forwarded now —
+//! older deferred frames are still pending, or the output reports
+//! [`FrameWriter::is_saturated`], the same port state the executor checks
+//! before it polls the intake. The connection's ingestion policy decides
+//! the fate of excess (Table 4.2):
 //!
 //! * **Buffer** (Basic) — excess is held in memory; exhausting the memory
 //!   budget terminates the feed;
@@ -17,16 +19,21 @@
 //! * **Discard** — excess frames are dropped until the backlog clears
 //!   (producing the contiguous gaps of Fig 7.9);
 //! * **Throttle** — records are randomly sampled down to a keep-fraction
-//!   (the uniform thinning of Fig 7.10);
+//!   (the uniform thinning of Fig 7.10); the kept fraction waits in the
+//!   controller and the intake pulls no more input until it is forwarded
+//!   ([`FlowController::is_pacing`]);
 //! * **Elastic** — a scale-out request is signalled to the Central Feed
 //!   Manager and excess is buffered while the pipeline is restructured.
+//!
+//! Nothing here blocks: while the output is saturated deferred work simply
+//! stays deferred and the intake yields, and [`FlowController::finish`]
+//! reports "not yet" instead of waiting for the output to drain.
 
 use crate::metrics::FeedMetrics;
 use crate::policy::{ExcessStrategy, IngestionPolicy};
-use asterix_common::sync::handoff::{self, TrySendError};
-use asterix_common::sync::{thread as sync_thread, Mutex};
-use asterix_common::{DataFrame, FeedId, IngestError, IngestResult, Record, RecordId, SimInstant};
+use asterix_common::{DataFrame, FeedId, IngestError, IngestResult};
 use asterix_hyracks::operator::FrameWriter;
+use asterix_hyracks::transport::{encode_msg, FrameDecoder, WireMsg};
 use crossbeam_channel::Sender;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +47,10 @@ pub struct ElasticRequest {
     pub connection_key: String,
 }
 
-/// Serialized frames on the simulated local disk.
+/// Serialized frames on the simulated local disk. Each segment is one
+/// frame in the wire codec of [`asterix_hyracks::transport`], so the
+/// generation stamp spills with each record and ingestion lag keeps
+/// counting time spent on disk.
 #[derive(Debug, Default)]
 pub struct SpillFile {
     segments: VecDeque<Vec<u8>>,
@@ -49,19 +59,10 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Append a frame (serialized). The generation stamp spills with each
-    /// record (`u64::MAX` = unstamped) so ingestion lag keeps counting
-    /// time spent on disk.
+    /// Append a frame (serialized).
     pub fn push(&mut self, frame: &DataFrame) {
         let mut buf = Vec::with_capacity(frame.size_bytes() + 16);
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        for r in frame.records() {
-            buf.extend_from_slice(&r.id.raw().to_le_bytes());
-            buf.extend_from_slice(&r.adaptor.to_le_bytes());
-            buf.extend_from_slice(&r.gen_at.map_or(u64::MAX, |g| g.0).to_le_bytes());
-            buf.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&r.payload);
-        }
+        encode_msg(&WireMsg::Frame(frame.clone()), &mut buf);
         self.encodes += 1;
         self.bytes += buf.len();
         self.segments.push_back(buf);
@@ -74,43 +75,21 @@ impl SpillFile {
         Some(buf)
     }
 
-    /// Re-queue an already-encoded segment at the *front* (a failed
-    /// de-spill). O(1): the serialized bytes are reused verbatim, no
-    /// re-encode of this — or any other — segment.
-    pub fn push_front_segment(&mut self, segment: Vec<u8>) {
-        self.bytes += segment.len();
-        self.segments.push_front(segment);
-    }
-
     /// Decode one serialized segment back into a frame.
-    pub fn decode_segment(buf: &[u8]) -> DataFrame {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| {
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            s.to_vec()
-        };
-        let n = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap()) as usize;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap());
-            let adaptor = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap());
-            let gen_raw = u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap());
-            let len = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap()) as usize;
-            let payload = take(&mut pos, len);
-            let mut rec = Record::tracked(RecordId(id), adaptor, payload);
-            if gen_raw != u64::MAX {
-                rec = rec.stamped(SimInstant(gen_raw));
-            }
-            records.push(rec);
+    pub fn decode_segment(buf: &[u8]) -> IngestResult<DataFrame> {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(buf);
+        match decoder.next_msg()? {
+            Some(WireMsg::Frame(frame)) => Ok(frame),
+            _ => Err(IngestError::Parse("spill segment is not one frame".into())),
         }
-        DataFrame::from_records(records)
     }
 
     /// Read back the oldest frame.
     pub fn pop(&mut self) -> Option<DataFrame> {
         let buf = self.pop_segment()?;
-        Some(SpillFile::decode_segment(&buf))
+        // every segment was written by `push` in this process
+        Some(SpillFile::decode_segment(&buf).expect("spill segment decodes"))
     }
 
     /// Bytes currently on disk.
@@ -123,195 +102,116 @@ impl SpillFile {
         self.segments.is_empty()
     }
 
-    /// How many frame serializations this file performed. A failed de-spill
-    /// must not re-encode surviving segments, so this counts each spilled
-    /// frame exactly once regardless of re-queues.
+    /// How many frame serializations this file performed. De-spilling never
+    /// re-encodes, so this counts each spilled frame exactly once.
     pub fn encode_count(&self) -> u64 {
         self.encodes
     }
 }
 
-struct Shared {
-    error: Mutex<Option<IngestError>>,
-}
-
-/// The per-pipeline congestion controller.
+/// The per-pipeline congestion controller: a synchronous policy object the
+/// intake applies on its own slice.
 pub struct FlowController {
     policy: IngestionPolicy,
     metrics: Arc<FeedMetrics>,
-    q_tx: Option<handoff::Sender<DataFrame>>,
-    pusher: Option<std::thread::JoinHandle<IngestResult<()>>>,
-    shared: Arc<Shared>,
+    output: Box<dyn FrameWriter>,
     backlog: VecDeque<DataFrame>,
     backlog_bytes: usize,
     spill: SpillFile,
+    /// A throttled kept fraction waits in the backlog for room.
+    pacing: bool,
     rng: SmallRng,
     elastic_tx: Option<Sender<ElasticRequest>>,
     feed: FeedId,
     connection_key: String,
     elastic_signalled: bool,
-    capacity: usize,
 }
 
 impl FlowController {
-    /// Wrap `downstream` with policy-governed flow control. `capacity` is
-    /// the hand-off queue depth in frames (the congestion sensor).
+    /// Apply policy-governed flow control in front of `output`, an opened
+    /// writer whose [`FrameWriter::is_saturated`] is the congestion sensor.
     pub fn new(
         policy: IngestionPolicy,
         metrics: Arc<FeedMetrics>,
-        downstream: Box<dyn FrameWriter>,
-        capacity: usize,
+        output: Box<dyn FrameWriter>,
         feed: FeedId,
         connection_key: impl Into<String>,
         elastic_tx: Option<Sender<ElasticRequest>>,
     ) -> FlowController {
-        let (q_tx, q_rx) = handoff::bounded::<DataFrame>(capacity.max(1));
-        let shared = Arc::new(Shared {
-            error: Mutex::new(None),
-        });
-        let pusher_shared = Arc::clone(&shared);
-        let spawned = sync_thread::spawn_named("feed-flow-pusher", move || {
-            let mut downstream = downstream;
-            if let Err(e) = downstream.open() {
-                *pusher_shared.error.lock() = Some(e.clone());
-                return Err(e);
-            }
-            for frame in q_rx.iter() {
-                if let Err(e) = downstream.next_frame(frame) {
-                    *pusher_shared.error.lock() = Some(e.clone());
-                    downstream.fail();
-                    return Err(e);
-                }
-            }
-            downstream.close()
-        });
-        // a failed OS-thread spawn degrades the controller (first offer
-        // reports the error) instead of panicking the intake operator
-        let (q_tx, pusher) = match spawned {
-            Ok(handle) => (Some(q_tx), Some(handle)),
-            Err(e) => {
-                *shared.error.lock() = Some(IngestError::Plan(format!(
-                    "cannot spawn flow pusher thread: {e}"
-                )));
-                (None, None)
-            }
-        };
         FlowController {
             policy,
             metrics,
-            q_tx,
-            pusher,
-            shared,
+            output,
             backlog: VecDeque::new(),
             backlog_bytes: 0,
             spill: SpillFile::default(),
+            pacing: false,
             rng: SmallRng::seed_from_u64(0xF10C),
             elastic_tx,
             feed,
             connection_key: connection_key.into(),
             elastic_signalled: false,
-            capacity: capacity.max(1),
         }
     }
 
-    fn check_downstream(&self) -> IngestResult<()> {
-        if let Some(e) = self.shared.error.lock().clone() {
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn try_send(&mut self, frame: DataFrame) -> Result<(), Option<DataFrame>> {
-        // a missing queue (failed spawn, already-finished flow) reads as
-        // disconnected rather than panicking
-        let Some(tx) = self.q_tx.as_ref() else {
-            return Err(None);
-        };
-        match tx.try_send(frame) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(f)) => Err(Some(f)),
-            Err(TrySendError::Disconnected(_)) => Err(None),
-        }
-    }
-
-    /// Move backlog / spillage downstream while there is room. Returns true
-    /// if everything deferred has drained.
+    /// Move backlog / spillage downstream while the output has room.
+    /// Returns true if everything deferred has drained.
     pub fn drain_deferred(&mut self) -> IngestResult<bool> {
-        self.check_downstream()?;
-        // refresh the congestion gauge from every housekeeping pass, not
-        // just offers — a drained-but-idle feed must read as depth 0 or the
+        // memory backlog first (it is older under Basic; under Spill the
+        // memory backlog only holds adopted frames)
+        let room = loop {
+            if self.output.is_saturated() {
+                break false;
+            }
+            if let Some(frame) = self.backlog.pop_front() {
+                self.backlog_bytes -= frame.size_bytes();
+                self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
+                self.output.next_frame(frame)?;
+            } else if let Some(segment) = self.spill.pop_segment() {
+                self.metrics.spill_bytes.set(self.spill.bytes() as u64);
+                let frame = SpillFile::decode_segment(&segment)?;
+                let n = frame.len() as u64;
+                self.output.next_frame(frame)?;
+                self.metrics.records_despilled.add(n);
+            } else {
+                // everything deferred has drained with room to spare
+                break true;
+            }
+        };
+        // refresh the congestion gauge on every housekeeping pass, not just
+        // offers — a drained-but-idle feed must read as depth 0 or the
         // governor would keep seeing the last congested value forever
         self.metrics
             .handoff_queue_frames
-            .set(self.queue_depth() as u64);
-        // memory backlog first (it is older under Basic; under Spill the
-        // memory backlog is unused)
-        while let Some(frame) = self.backlog.pop_front() {
-            let sz = frame.size_bytes();
-            match self.try_send(frame) {
-                Ok(()) => {
-                    self.backlog_bytes -= sz;
-                    self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
-                }
-                Err(Some(f)) => {
-                    self.backlog.push_front(f);
-                    return Ok(false);
-                }
-                Err(None) => return Err(IngestError::Disconnected("pipeline gone".into())),
-            }
+            .set(self.output.queued_frames() as u64);
+        if self.backlog.is_empty() {
+            self.pacing = false;
         }
-        while let Some(segment) = self.spill.pop_segment() {
-            let frame = SpillFile::decode_segment(&segment);
-            let n = frame.len() as u64;
-            match self.try_send(frame) {
-                Ok(()) => {
-                    self.metrics.records_despilled.add(n);
-                    self.metrics.spill_bytes.set(self.spill.bytes() as u64);
-                }
-                Err(Some(_)) => {
-                    // no room: re-queue the encoded segment at the front
-                    self.spill.push_front_segment(segment);
-                    self.metrics.spill_bytes.set(self.spill.bytes() as u64);
-                    return Ok(false);
-                }
-                Err(None) => return Err(IngestError::Disconnected("pipeline gone".into())),
-            }
-        }
-        // Everything deferred has drained. If the hand-off queue is also
-        // below its low-water mark (half capacity), the congestion episode
-        // is over: re-arm the elastic signal so the *next* episode can
-        // request scale-out again — without this a feed could only ever
-        // signal once in its lifetime. The low-water check keeps a
-        // still-saturated queue (one slot freeing momentarily) from
-        // flapping signal → drain-one-frame → re-arm → signal.
-        if self.elastic_signalled && self.queue_depth() * 2 <= self.capacity {
+        // Nothing deferred and room downstream: the congestion episode is
+        // over. Re-arm the elastic signal so the *next* episode can request
+        // scale-out again — without this a feed could only ever signal once
+        // in its lifetime.
+        if room {
             self.elastic_signalled = false;
         }
-        Ok(true)
+        Ok(self.backlog.is_empty() && self.spill.is_empty())
     }
 
-    /// Frames currently in the hand-off queue (the congestion sensor).
-    fn queue_depth(&self) -> usize {
-        self.q_tx.as_ref().map_or(0, |tx| tx.len())
+    /// True while a throttled kept fraction waits for room: the intake must
+    /// pull no more input until it is forwarded — throttling "regulates the
+    /// rate of inflow".
+    pub fn is_pacing(&self) -> bool {
+        self.pacing
     }
 
     /// Offer one frame to the pipeline, applying the ingestion policy to any
-    /// excess. Never blocks (except under Throttle, which paces the kept
-    /// fraction).
+    /// excess. Never blocks.
     pub fn offer(&mut self, frame: DataFrame) -> IngestResult<()> {
-        self.check_downstream()?;
-        let all_clear = self.drain_deferred()?;
-        self.metrics
-            .handoff_queue_frames
-            .set(self.queue_depth() as u64);
-        if all_clear {
-            match self.try_send(frame) {
-                Ok(()) => return Ok(()),
-                Err(Some(f)) => return self.handle_excess(f),
-                Err(None) => return Err(IngestError::Disconnected("pipeline gone".into())),
-            }
+        // forward only when nothing older is deferred and there is room;
+        // anything else is excess
+        if self.drain_deferred()? && !self.output.is_saturated() {
+            return self.output.next_frame(frame);
         }
-        // deferred data still pending: arriving frame is excess by definition
         self.handle_excess(frame)
     }
 
@@ -345,9 +245,14 @@ impl FlowController {
         self.elastic_signalled = false;
     }
 
+    fn push_backlog(&mut self, frame: DataFrame) {
+        self.backlog_bytes += frame.size_bytes();
+        self.backlog.push_back(frame);
+        self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
+    }
+
     fn buffer_excess(&mut self, frame: DataFrame) -> IngestResult<()> {
-        let sz = frame.size_bytes();
-        if self.backlog_bytes + sz > self.policy.memory_budget_bytes {
+        if self.backlog_bytes + frame.size_bytes() > self.policy.memory_budget_bytes {
             return Err(IngestError::FeedTerminated {
                 feed: self.feed,
                 reason: format!(
@@ -356,9 +261,7 @@ impl FlowController {
                 ),
             });
         }
-        self.backlog_bytes += sz;
-        self.backlog.push_back(frame);
-        self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
+        self.push_backlog(frame);
         Ok(())
     }
 
@@ -410,18 +313,18 @@ impl FlowController {
         if !self.backlog.is_empty() {
             return self.buffer_excess(frame);
         }
-        // nothing deferred: pace the kept fraction through with a blocking
-        // send — throttling "regulates the rate of inflow"
-        match self.q_tx.as_ref().map(|tx| tx.send(frame)) {
-            Some(Ok(())) => Ok(()),
-            _ => Err(IngestError::Disconnected("pipeline gone".into())),
-        }
+        // nothing deferred but no room: the kept fraction waits here (outside
+        // the memory budget, it is one frame) and the intake stops pulling
+        self.push_backlog(frame);
+        self.pacing = true;
+        Ok(())
     }
 
     /// Records currently deferred (backlog + spill) — used for zombie state.
     pub fn take_deferred(&mut self) -> Vec<DataFrame> {
         let mut out: Vec<DataFrame> = self.backlog.drain(..).collect();
         self.backlog_bytes = 0;
+        self.pacing = false;
         while let Some(f) = self.spill.pop() {
             out.push(f);
         }
@@ -437,65 +340,34 @@ impl FlowController {
     pub fn adopt_deferred(&mut self, frames: Vec<DataFrame>) -> IngestResult<()> {
         self.metrics.zombie_frames_adopted.add(frames.len() as u64);
         for f in frames {
-            let sz = f.size_bytes();
-            if self.backlog_bytes + sz > self.policy.memory_budget_bytes {
+            if self.backlog_bytes + f.size_bytes() > self.policy.memory_budget_bytes {
                 self.handle_excess(f)?;
                 continue;
             }
-            self.backlog_bytes += sz;
-            self.backlog.push_back(f);
+            self.push_backlog(f);
         }
-        self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
         Ok(())
     }
 
-    /// Flush everything (blocking) and close the downstream gracefully.
-    pub fn finish(mut self) -> IngestResult<()> {
-        self.check_downstream()?;
-        // blocking-drain the memory backlog, then the spill file (counting
-        // the deferred records as re-processed)
-        let backlog: Vec<DataFrame> = self.backlog.drain(..).collect();
-        self.backlog_bytes = 0;
-        if let Some(tx) = self.q_tx.as_ref() {
-            for f in backlog {
-                tx.send(f)
-                    .map_err(|_| IngestError::Disconnected("pipeline gone".into()))?;
-            }
-            while let Some(f) = self.spill.pop() {
-                let n = f.len() as u64;
-                tx.send(f)
-                    .map_err(|_| IngestError::Disconnected("pipeline gone".into()))?;
-                self.metrics.records_despilled.add(n);
-            }
-            self.metrics.buffer_bytes.set(0);
-            self.metrics.spill_bytes.set(0);
+    /// Graceful end: forward everything deferred (counting despilled records
+    /// as re-processed), then close the output. Returns `Ok(false)` while
+    /// the output is saturated with work still deferred — the caller yields
+    /// and calls again once the output drains.
+    pub fn finish(&mut self) -> IngestResult<bool> {
+        if !self.drain_deferred()? {
+            return Ok(false);
         }
-        drop(self.q_tx.take());
-        match self.pusher.take() {
-            Some(p) => p
-                .join()
-                .unwrap_or_else(|_| Err(IngestError::Plan("flow pusher panicked".into()))),
-            None => Ok(()),
-        }
+        self.output.close()?;
+        Ok(true)
     }
 
-    /// Abandon the flow (pipeline failure); deferred frames are returned to
-    /// the caller for zombie parking. The pusher thread is detached — it
-    /// ends on its own once its queue disconnects or its downstream errors
-    /// (joining here could deadlock against a wedged downstream).
+    /// Abandon the flow (pipeline failure or rebuild); deferred frames are
+    /// returned to the caller for zombie parking. The output is closed so
+    /// downstream commits what already reached it.
     pub fn fail(mut self) -> Vec<DataFrame> {
         let deferred = self.take_deferred();
-        drop(self.q_tx.take());
-        self.pusher.take(); // detach
+        let _ = self.output.close();
         deferred
-    }
-}
-
-impl Drop for FlowController {
-    fn drop(&mut self) {
-        drop(self.q_tx.take());
-        // detach the pusher: it exits when the queue disconnects
-        self.pusher.take();
     }
 }
 
@@ -515,7 +387,7 @@ impl std::fmt::Debug for FlowController {
 mod tests {
     use super::*;
     use asterix_common::sync::Mutex as PMutex;
-    use asterix_common::SimClock;
+    use asterix_common::{IngestError, Record, RecordId, SimClock, SimInstant};
 
     fn frame(ids: std::ops::Range<u64>) -> DataFrame {
         DataFrame::from_records(
@@ -524,25 +396,27 @@ mod tests {
         )
     }
 
-    /// A downstream writer whose consumption is gated by a latch and can be
-    /// slowed per frame.
+    /// Frames a stalled [`GatedSink`] holds before it reports saturation.
+    const SINK_CAPACITY: usize = 2;
+
+    /// A downstream port whose consumer runs only while the gate is open:
+    /// with the gate closed it queues up to [`SINK_CAPACITY`] frames and
+    /// then reports saturation, like a stalled hyracks port.
     #[derive(Clone, Default)]
     struct GatedSink {
         accepted: Arc<PMutex<Vec<DataFrame>>>,
-        gate: Arc<PMutex<bool>>, // true = accept, false = block
+        gate: Arc<PMutex<bool>>, // true = consumer running
+        queued: Arc<PMutex<usize>>,
         closed: Arc<PMutex<bool>>,
-        delay_ms: Arc<PMutex<u64>>,
     }
 
     impl GatedSink {
         fn open_gate(&self) {
             *self.gate.lock() = true;
+            *self.queued.lock() = 0; // the consumer catches up
         }
         fn close_gate(&self) {
             *self.gate.lock() = false;
-        }
-        fn set_delay(&self, ms: u64) {
-            *self.delay_ms.lock() = ms;
         }
         fn records(&self) -> usize {
             self.accepted.lock().iter().map(|f| f.len()).sum()
@@ -554,12 +428,12 @@ mod tests {
             Ok(())
         }
         fn next_frame(&mut self, f: DataFrame) -> IngestResult<()> {
-            while !*self.gate.lock() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let d = *self.delay_ms.lock();
-            if d > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(d));
+            assert!(
+                !self.is_saturated(),
+                "frame forwarded into a saturated output"
+            );
+            if !*self.gate.lock() {
+                *self.queued.lock() += 1;
             }
             self.accepted.lock().push(f);
             Ok(())
@@ -569,6 +443,12 @@ mod tests {
             Ok(())
         }
         fn fail(&mut self) {}
+        fn is_saturated(&self) -> bool {
+            *self.queued.lock() >= SINK_CAPACITY
+        }
+        fn queued_frames(&self) -> usize {
+            *self.queued.lock()
+        }
     }
 
     fn metrics() -> Arc<FeedMetrics> {
@@ -580,7 +460,6 @@ mod tests {
             policy,
             metrics(),
             Box::new(sink.clone()),
-            2, // tiny queue: congestion after 2 frames
             FeedId(7),
             "conn-test",
             None,
@@ -603,7 +482,7 @@ mod tests {
             let mut fc = controller(IngestionPolicy::basic(), &sink);
             m = Arc::clone(&fc.metrics);
             congest(&mut fc, 10).unwrap();
-            fc.finish().unwrap();
+            assert!(fc.finish().unwrap());
         }
         assert_eq!(sink.records(), 100);
         assert!(*sink.closed.lock());
@@ -616,7 +495,7 @@ mod tests {
         let mut policy = IngestionPolicy::basic();
         policy.memory_budget_bytes = 2000;
         let mut fc = controller(policy, &sink);
-        // first few land in the queue, then the backlog, then budget blows
+        // first few land in the port, then the backlog, then budget blows
         let err = congest(&mut fc, 100).unwrap_err();
         assert!(matches!(err, IngestError::FeedTerminated { .. }), "{err}");
     }
@@ -625,9 +504,9 @@ mod tests {
     fn basic_backlog_drains_when_congestion_clears() {
         let sink = GatedSink::default();
         let mut fc = controller(IngestionPolicy::basic(), &sink);
-        congest(&mut fc, 10).unwrap(); // queue(2) + backlog(8)
+        congest(&mut fc, 10).unwrap(); // port(2) + backlog(8)
         sink.open_gate();
-        fc.finish().unwrap();
+        assert!(fc.finish().unwrap());
         assert_eq!(sink.records(), 100, "nothing lost under Basic");
     }
 
@@ -640,7 +519,7 @@ mod tests {
             m = Arc::clone(&fc.metrics);
             congest(&mut fc, 10).unwrap();
             sink.open_gate();
-            fc.finish().unwrap();
+            assert!(fc.finish().unwrap());
         }
         let discarded = m.records_discarded.get();
         assert!(discarded > 0, "expected drops");
@@ -658,7 +537,7 @@ mod tests {
             assert!(m.records_spilled.get() > 0);
             assert!(m.spill_bytes.get() > 0);
             sink.open_gate();
-            fc.finish().unwrap();
+            assert!(fc.finish().unwrap());
         }
         assert_eq!(sink.records(), 100, "spill loses nothing");
         assert_eq!(m.records_despilled.get(), m.records_spilled.get());
@@ -675,7 +554,7 @@ mod tests {
             m = Arc::clone(&fc.metrics);
             congest(&mut fc, 50).unwrap();
             sink.open_gate();
-            fc.finish().unwrap();
+            assert!(fc.finish().unwrap());
         }
         assert!(m.records_discarded.get() > 0);
         assert!(m.records_spilled.get() > 0);
@@ -694,15 +573,9 @@ mod tests {
         {
             let mut fc = controller(policy, &sink);
             m = Arc::clone(&fc.metrics);
-            // open the gate from another thread shortly, since throttle
-            // paces with blocking sends
-            let s2 = sink.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                s2.open_gate();
-            });
             congest(&mut fc, 50).unwrap();
-            fc.finish().unwrap();
+            sink.open_gate();
+            assert!(fc.finish().unwrap());
         }
         assert!(m.records_spilled.get() > 0, "spill first");
         assert!(m.records_throttled.get() > 0, "then throttle");
@@ -710,17 +583,15 @@ mod tests {
 
     #[test]
     fn throttle_samples_uniformly() {
-        // a slow-but-open sink keeps the pipeline congested throughout
+        // a stalled sink keeps the pipeline congested throughout
         let sink = GatedSink::default();
-        sink.open_gate();
-        sink.set_delay(2);
         let m;
         {
             let mut fc = controller(IngestionPolicy::throttle(), &sink);
             m = Arc::clone(&fc.metrics);
             congest(&mut fc, 100).unwrap();
-            sink.set_delay(0);
-            fc.finish().unwrap();
+            sink.open_gate();
+            assert!(fc.finish().unwrap());
         }
         let dropped = m.records_throttled.get();
         assert!(dropped > 0);
@@ -731,6 +602,43 @@ mod tests {
     }
 
     #[test]
+    fn throttle_paces_the_intake_instead_of_blocking() {
+        let sink = GatedSink::default();
+        let mut fc = controller(IngestionPolicy::throttle(), &sink);
+        congest(&mut fc, 2).unwrap(); // fills the stalled port
+        assert!(!fc.is_pacing());
+        // excess: the kept fraction waits here and the intake must stop
+        // pulling; neither the offer nor finish blocks on the full output
+        fc.offer(frame(20..84)).unwrap();
+        assert!(fc.is_pacing(), "kept fraction must hold the intake");
+        assert!(!fc.finish().unwrap(), "finish yields while saturated");
+        assert!(!*sink.closed.lock());
+        sink.open_gate();
+        assert!(fc.drain_deferred().unwrap());
+        assert!(!fc.is_pacing(), "forwarding the kept fraction releases it");
+        assert!(fc.finish().unwrap());
+        assert!(*sink.closed.lock());
+        let throttled = fc.metrics.records_throttled.get();
+        assert!(throttled > 0);
+        assert_eq!(sink.records() as u64 + throttled, 84);
+    }
+
+    #[test]
+    fn queue_gauge_reports_output_depth() {
+        let sink = GatedSink::default();
+        let mut fc = controller(IngestionPolicy::basic(), &sink);
+        congest(&mut fc, 5).unwrap();
+        assert_eq!(
+            fc.metrics.handoff_queue_frames.get(),
+            SINK_CAPACITY as u64,
+            "a stalled output reads as full"
+        );
+        sink.open_gate();
+        assert!(fc.drain_deferred().unwrap());
+        assert_eq!(fc.metrics.handoff_queue_frames.get(), 0, "drained reads 0");
+    }
+
+    #[test]
     fn elastic_signals_once_and_buffers() {
         let sink = GatedSink::default();
         let (tx, rx) = crossbeam_channel::unbounded();
@@ -738,7 +646,6 @@ mod tests {
             IngestionPolicy::elastic(),
             metrics(),
             Box::new(sink.clone()),
-            2,
             FeedId(7),
             "conn42",
             Some(tx),
@@ -751,7 +658,7 @@ mod tests {
         congest(&mut fc, 5).unwrap();
         assert!(rx.try_recv().is_ok(), "re-signals after reset");
         sink.open_gate();
-        fc.finish().unwrap();
+        assert!(fc.finish().unwrap());
         assert_eq!(sink.records(), 150, "elastic buffered everything");
     }
 
@@ -763,7 +670,6 @@ mod tests {
             IngestionPolicy::elastic(),
             metrics(),
             Box::new(sink.clone()),
-            2,
             FeedId(7),
             "conn43",
             Some(tx),
@@ -778,12 +684,12 @@ mod tests {
         loop {
             let drained = fc.drain_deferred().unwrap();
             if drained && sink.records() == 100 {
-                break; // queue empty (all delivered) and no deferred left
+                break; // output has room (all delivered) and no deferred left
             }
             assert!(std::time::Instant::now() < deadline, "drain stalled");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // the queue is below low-water: the signal re-armed on its own
+        // the output is not saturated: the signal re-armed on its own
         fc.drain_deferred().unwrap();
         // episode 2: downstream stalls again — no manual reset needed
         sink.close_gate();
@@ -793,7 +699,7 @@ mod tests {
             "re-armed after congestion cleared; second episode signals"
         );
         sink.open_gate();
-        fc.finish().unwrap();
+        assert!(fc.finish().unwrap());
         assert_eq!(sink.records(), 200, "elastic buffered everything");
     }
 
@@ -815,7 +721,7 @@ mod tests {
         fc.adopt_deferred(vec![frame(0..10), frame(10..20)])
             .unwrap();
         fc.offer(frame(20..30)).unwrap();
-        fc.finish().unwrap();
+        assert!(fc.finish().unwrap());
         assert_eq!(sink.records(), 30);
         // order preserved: adopted state first
         let first = sink.accepted.lock()[0].records()[0].id;
@@ -824,12 +730,10 @@ mod tests {
 
     #[test]
     fn throttle_defers_kept_records_behind_older_data() {
-        // regression: kept records used to be blocking-sent straight into
-        // the hand-off queue, overtaking adopted/buffered frames and
-        // breaking the FIFO that adopt_deferred relies on
-        let sink = GatedSink::default();
-        sink.open_gate();
-        sink.set_delay(3);
+        // regression: kept records used to be sent straight downstream,
+        // overtaking adopted/buffered frames and breaking the FIFO that
+        // adopt_deferred relies on
+        let sink = GatedSink::default(); // stalls after two frames
         let mut fc = controller(IngestionPolicy::throttle(), &sink);
         fc.adopt_deferred(vec![
             frame(0..10),
@@ -841,8 +745,8 @@ mod tests {
         for i in 4..12 {
             fc.offer(frame(i * 10..i * 10 + 10)).unwrap();
         }
-        sink.set_delay(0);
-        fc.finish().unwrap();
+        sink.open_gate();
+        assert!(fc.finish().unwrap());
         let mut last: Option<RecordId> = None;
         for f in sink.accepted.lock().iter() {
             for r in f.records() {
@@ -880,18 +784,17 @@ mod tests {
     fn failed_despill_requeues_without_reencoding() {
         // regression: a failed de-spill used to rebuild the whole SpillFile
         // by popping and re-serializing every remaining frame (O(spill) per
-        // drain attempt); the encoded segment is now reused as-is
+        // drain attempt); a segment is now only taken when there is room
         let sink = GatedSink::default(); // gate closed
         let mut fc = controller(IngestionPolicy::spill(), &sink);
-        congest(&mut fc, 10).unwrap(); // queue(2) + blocked pusher(≤1) + spill
+        congest(&mut fc, 10).unwrap(); // port(2) + spill
         let encodes_after_spill = fc.spill.encode_count();
         assert!(
             (7..=8).contains(&encodes_after_spill),
             "each excess frame encoded once, got {encodes_after_spill}"
         );
         for _ in 0..5 {
-            // queue is full: every drain pops the head segment, fails to
-            // send it, and must put it back without touching the encoder
+            // the output is saturated: no drain may touch the encoder
             assert!(!fc.drain_deferred().unwrap());
         }
         assert_eq!(
@@ -900,7 +803,7 @@ mod tests {
             "failed de-spills must not re-encode surviving segments"
         );
         sink.open_gate();
-        fc.finish().unwrap();
+        assert!(fc.finish().unwrap());
         assert_eq!(sink.records(), 100, "re-queues lost nothing");
     }
 
@@ -921,7 +824,7 @@ mod tests {
                 "overflow beyond the budget must hit the excess strategy"
             );
             sink.open_gate();
-            fc.finish().unwrap();
+            assert!(fc.finish().unwrap());
         }
         assert_eq!(sink.records(), 30, "spilled adoptions lose nothing");
         assert_eq!(m.zombie_frames_adopted.get(), 3);
@@ -954,7 +857,7 @@ mod tests {
             fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
                 .unwrap();
             sink.open_gate();
-            fc.finish().unwrap();
+            assert!(fc.finish().unwrap());
         }
         assert_eq!(m.records_discarded.get(), 20);
         assert_eq!(sink.records(), 10, "in-budget frame survives");
@@ -984,5 +887,14 @@ mod tests {
         let back = sf.pop().unwrap();
         assert_eq!(back.records()[0].gen_at, Some(SimInstant(42)));
         assert_eq!(back.records()[1].gen_at, None);
+    }
+
+    #[test]
+    fn truncated_spill_segment_is_an_error() {
+        let mut sf = SpillFile::default();
+        sf.push(&frame(0..3));
+        let segment = sf.pop_segment().unwrap();
+        assert!(SpillFile::decode_segment(&segment[..segment.len() - 1]).is_err());
+        assert!(SpillFile::decode_segment(&[]).is_err());
     }
 }

@@ -4,8 +4,8 @@
 //! fires a single scale-out request and never revisits the decision. This
 //! module closes the loop. A periodic control task owned by the
 //! [`FeedController`](crate::controller::FeedController) samples the
-//! metrics registry — the ingestion-lag histogram, the intake hand-off
-//! queue backlog, and the spill/throttle pressure counters — and issues
+//! metrics registry — the ingestion-lag histogram, the intake output-port
+//! depth, and the spill/throttle pressure counters — and issues
 //! scale-out *and* scale-in decisions for both the intake and compute
 //! partitions of each live feed connection.
 //!
@@ -51,9 +51,10 @@ pub struct GovernorConfig {
     pub high_backlog_bytes: u64,
     /// Calm requires backlog at or below this many bytes.
     pub low_backlog_bytes: u64,
-    /// Scale-out when the hand-off queue holds at least this many frames.
+    /// Scale-out when an intake's output port holds at least this many
+    /// frames.
     pub high_queue_frames: u64,
-    /// Calm requires the hand-off queue at or below this many frames.
+    /// Calm requires intake output ports at or below this many frames.
     pub low_queue_frames: u64,
     /// Consecutive calm samples required before scaling in.
     pub scale_in_quiet_ticks: u32,
@@ -99,7 +100,8 @@ pub struct GovernorSample {
     /// In-memory excess buffer plus spill file bytes, summed over the
     /// connection's store and compute stages.
     pub backlog_bytes: u64,
-    /// Hand-off queue depth in frames, max over the connection's stages.
+    /// Intake output-port depth in frames, max over the connection's
+    /// stages.
     pub queue_frames: u64,
     /// Pressure events since the previous sample: records throttled,
     /// discarded or spilled, plus open-loop elastic requests routed to the

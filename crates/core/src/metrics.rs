@@ -65,8 +65,9 @@ pub struct FeedMetrics {
     pub spill_bytes: Gauge,
     /// Current in-memory excess buffer size in bytes (gauge).
     pub buffer_bytes: Gauge,
-    /// Current hand-off queue depth in frames (gauge) — the congestion
-    /// sensor the scaling governor samples.
+    /// Frames queued on the intake's deepest output port (gauge) — the
+    /// flow controller's congestion sensor, sampled by the scaling governor.
+    /// The name is kept because the governor and the benchmark ledger read it.
     pub handoff_queue_frames: Gauge,
     /// Sim-milliseconds the most recent hard-failure recovery took, from
     /// failure handling to the connection going active again (gauge).

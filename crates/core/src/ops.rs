@@ -5,9 +5,11 @@
 //!   the feed joint registered at its output. Adaptor creation is deferred
 //!   "until there is a request for the operator's output data".
 //! * [`IntakeDesc`] — *FeedIntake*: co-located with a joint, subscribes
-//!   through the local Feed Manager's search API, and pushes frames
-//!   downstream through the policy-governed [`FlowController`]. Hosts the
-//!   at-least-once tracker when the policy demands it.
+//!   through the local Feed Manager's search API, and forwards frames
+//!   downstream through the policy-governed [`FlowController`]. It is a
+//!   cooperative source: each scheduler slice pulls a bounded batch off the
+//!   joint and applies the policy inline, so the intake holds no thread of
+//!   its own. Hosts the at-least-once tracker when the policy demands it.
 //! * [`AssignDesc`] — *Assign* (the compute stage): applies the
 //!   pre-processing UDF to every record and deposits results into the
 //!   feed's output joint.
@@ -386,8 +388,6 @@ pub struct IntakeDesc {
     pub metrics: Arc<FeedMetrics>,
     /// Elastic scale-out signal channel.
     pub elastic_tx: Option<Sender<ElasticRequest>>,
-    /// Hand-off queue depth (congestion sensor).
-    pub flow_capacity: usize,
     /// At-least-once plumbing, when the policy enables it.
     pub ack: Option<Arc<AckPlumbing>>,
     /// Connection key (for elastic requests and zombie state).
@@ -411,15 +411,15 @@ impl OperatorDescriptor for IntakeDesc {
     fn instantiate(
         &self,
         ctx: &TaskContext,
-        output: Box<dyn FrameWriter>,
+        mut output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
         let fm = FeedManager::on(&ctx.node);
         let sub_key = format!("{}#p{}", self.sub_key, ctx.partition);
+        output.open()?;
         let mut flow = FlowController::new(
             self.policy.clone(),
             Arc::clone(&self.metrics),
             output,
-            self.flow_capacity,
             self.feed,
             self.connection_key.clone(),
             self.elastic_tx.clone(),
@@ -449,12 +449,12 @@ impl OperatorDescriptor for IntakeDesc {
             joint_id: self.joint_id.clone(),
             sub_key,
             node: ctx.node.clone(),
-            clock: ctx.clock.clone(),
             metrics: Arc::clone(&self.metrics),
             flow: Some(flow),
             tracker,
             fault_plan: self.fault_plan.clone(),
             sub: None,
+            finishing: false,
         })))
     }
 }
@@ -463,23 +463,43 @@ struct IntakeSource {
     joint_id: String,
     sub_key: String,
     node: asterix_hyracks::cluster::NodeHandle,
-    clock: asterix_common::SimClock,
     metrics: Arc<FeedMetrics>,
     flow: Option<FlowController>,
     tracker: Option<AckTracker>,
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Lazily created on the first scheduler poll (cooperative mode).
+    /// Lazily created on the first scheduler poll.
     sub: Option<JointSubscription>,
+    /// Graceful stop or joint retirement seen: only draining remains.
+    finishing: bool,
 }
 
 /// Frames an intake task pulls off its joint per scheduler slice.
 const INTAKE_FRAMES_PER_SLICE: usize = 8;
 
 impl IntakeSource {
+    /// End the flow without parking its deferred state (node loss, feed
+    /// termination).
+    fn drop_flow(&mut self) {
+        if let Some(flow) = self.flow.take() {
+            flow.fail();
+        }
+    }
+
+    /// Graceful end: drain deferred frames and close the output, yielding
+    /// the slice (`Produced`) while the output is saturated.
+    fn finish_flow(&mut self) -> IngestResult<SourcePoll> {
+        let flow = self.flow.as_mut().expect("flow active");
+        if !flow.finish()? {
+            return Ok(SourcePoll::Produced);
+        }
+        self.flow = None;
+        Ok(SourcePoll::Done)
+    }
+
     fn fail_with_zombie(&mut self, fm: &Arc<FeedManager>) {
         if let Some(flow) = self.flow.take() {
             let mut deferred = flow.fail();
-            // The tracker's unacked records were in the hand-off queue or in
+            // The tracker's unacked records were in an output port or in
             // flight toward the store when we died — without parking them the
             // successor would never re-emit them and at-least-once would only
             // hold for records the flow controller still had by value.
@@ -550,105 +570,20 @@ impl IntakeSource {
 }
 
 impl SourceOperator for IntakeSource {
-    fn run(&mut self, _output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
-        let fm = FeedManager::on(&self.node);
-        let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
-            IngestError::Plan(format!(
-                "no joint '{}' on node {}",
-                self.joint_id,
-                self.node.id()
-            ))
-        })?;
-        let sub = joint.subscribe(self.sub_key.clone());
-        let poll = SimDuration::from_millis(100);
-        loop {
-            if !self.node.is_alive() {
-                // hard failure of this node: vanish (state on this node is
-                // lost with the node)
-                self.flow = None;
-                return Err(IngestError::NodeFailed(self.node.id()));
-            }
-            match stop.mode() {
-                asterix_hyracks::operator::StopMode::Running => {}
-                asterix_hyracks::operator::StopMode::Graceful => {
-                    // graceful disconnect: drain and leave
-                    sub.unsubscribe();
-                    let flow = self.flow.take().expect("flow active");
-                    return flow.finish();
-                }
-                asterix_hyracks::operator::StopMode::Abandon => {
-                    // pipeline rebuild: park deferred work and exit while
-                    // the subscription keeps buffering for the successor
-                    self.fail_with_zombie(&fm);
-                    return Ok(());
-                }
-            }
-            if self.chaos_panic_due() {
-                self.fail_with_zombie(&fm);
-                return Err(IngestError::Disconnected(
-                    "chaos: injected operator panic".into(),
-                ));
-            }
-            // adopt re-parked state every iteration, busy or not: migrated
-            // frames must not wait for the stream to dry up
-            if let Err(e) = self.adopt_late_zombies(&fm) {
-                self.fail_with_zombie(&fm);
-                return Err(e);
-            }
-            match sub.recv(&self.clock, poll) {
-                JointRecv::Frame(frame) => {
-                    self.metrics.records_in.add(frame.len() as u64);
-                    let frame = self.track_frame(frame);
-                    let flow = self.flow.as_mut().expect("flow active");
-                    match flow.offer(frame) {
-                        Ok(()) => {}
-                        Err(e @ IngestError::FeedTerminated { .. }) => {
-                            sub.unsubscribe();
-                            self.flow = None;
-                            return Err(e);
-                        }
-                        Err(e) => {
-                            // downstream died: park state, keep the
-                            // subscription buffering for the rebuild
-                            self.fail_with_zombie(&fm);
-                            return Err(e);
-                        }
-                    }
-                }
-                JointRecv::Timeout => {
-                    let flow = self.flow.as_mut().expect("flow active");
-                    if let Err(e) = flow.drain_deferred() {
-                        self.fail_with_zombie(&fm);
-                        return Err(e);
-                    }
-                    if let Err(e) = self.handle_acks_and_replays() {
-                        self.fail_with_zombie(&fm);
-                        return Err(e);
-                    }
-                }
-                JointRecv::Retired => {
-                    let flow = self.flow.take().expect("flow active");
-                    return flow.finish();
-                }
-            }
-        }
-    }
-
     fn cooperative(&self) -> bool {
         true
     }
 
     /// One scheduler slice of intake work: pull a bounded batch of frames
-    /// off the joint subscription and offer them to the flow controller.
-    /// Replaces the thread-parking loop in [`IntakeSource::run`] — an idle
-    /// intake costs a queued task, not a blocked OS thread.
+    /// off the joint subscription and apply the flow controller to each. An
+    /// idle intake costs a queued task, not a blocked OS thread.
     fn poll_produce(
         &mut self,
         _output: &mut dyn FrameWriter,
         stop: &StopToken,
     ) -> IngestResult<SourcePoll> {
         let fm = FeedManager::on(&self.node);
-        if self.sub.is_none() {
+        if self.sub.is_none() && !self.finishing {
             let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
                 IngestError::Plan(format!(
                     "no joint '{}' on node {}",
@@ -661,7 +596,7 @@ impl SourceOperator for IntakeSource {
         if !self.node.is_alive() {
             // hard failure of this node: vanish (state on this node is
             // lost with the node)
-            self.flow = None;
+            self.drop_flow();
             return Err(IngestError::NodeFailed(self.node.id()));
         }
         match stop.mode() {
@@ -671,9 +606,7 @@ impl SourceOperator for IntakeSource {
                 if let Some(sub) = self.sub.take() {
                     sub.unsubscribe();
                 }
-                let flow = self.flow.take().expect("flow active");
-                flow.finish()?;
-                return Ok(SourcePoll::Done);
+                self.finishing = true;
             }
             asterix_hyracks::operator::StopMode::Abandon => {
                 // pipeline rebuild: park deferred work and exit while
@@ -681,6 +614,9 @@ impl SourceOperator for IntakeSource {
                 self.fail_with_zombie(&fm);
                 return Ok(SourcePoll::Done);
             }
+        }
+        if self.finishing {
+            return self.finish_flow();
         }
         if self.chaos_panic_due() {
             self.fail_with_zombie(&fm);
@@ -698,6 +634,19 @@ impl SourceOperator for IntakeSource {
         }
         let mut produced = false;
         for _ in 0..INTAKE_FRAMES_PER_SLICE {
+            // Throttle paces the inflow: while its kept fraction waits for
+            // room the intake pulls nothing more from its joint
+            let flow = self.flow.as_mut().expect("flow active");
+            if flow.is_pacing() {
+                match flow.drain_deferred() {
+                    Ok(true) => {}
+                    Ok(false) => break,
+                    Err(e) => {
+                        self.fail_with_zombie(&fm);
+                        return Err(e);
+                    }
+                }
+            }
             let recv = self.sub.as_ref().expect("subscribed above").try_recv();
             match recv {
                 Some(JointRecv::Frame(frame)) => {
@@ -711,7 +660,7 @@ impl SourceOperator for IntakeSource {
                             if let Some(sub) = self.sub.take() {
                                 sub.unsubscribe();
                             }
-                            self.flow = None;
+                            self.drop_flow();
                             return Err(e);
                         }
                         Err(e) => {
@@ -723,9 +672,8 @@ impl SourceOperator for IntakeSource {
                     }
                 }
                 Some(JointRecv::Retired) => {
-                    let flow = self.flow.take().expect("flow active");
-                    flow.finish()?;
-                    return Ok(SourcePoll::Done);
+                    self.finishing = true;
+                    return self.finish_flow();
                 }
                 Some(JointRecv::Timeout) | None => break,
             }
@@ -733,7 +681,7 @@ impl SourceOperator for IntakeSource {
         if produced {
             return Ok(SourcePoll::Produced);
         }
-        // quiet slice: the same housekeeping the thread loop did on timeout
+        // quiet slice: move deferred work along and serve acks and replays
         let flow = self.flow.as_mut().expect("flow active");
         if let Err(e) = flow.drain_deferred() {
             self.fail_with_zombie(&fm);

@@ -664,8 +664,11 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
     );
     catalog.register_dataset(Arc::clone(&dataset));
     catalog.create_function(Udf::add_hash_tags()).unwrap();
+    // long enough that the revive (600 records after the kill) fires at
+    // least 200 records before the pattern ends, for every kill point
+    let secs = 10.max((kill_at + 600) / 200 + 2);
     let gen = TweetGen::bind(
-        TweetGenConfig::new(addr, 0, PatternDescriptor::constant(200, 10)),
+        TweetGenConfig::new(addr, 0, PatternDescriptor::constant(200, secs)),
         clock.clone(),
     )
     .unwrap();

@@ -178,6 +178,13 @@ impl FrameWriter for RouterWriter {
             _ => self.consumers.iter().any(|c| c.is_saturated()),
         }
     }
+
+    fn queued_frames(&self) -> usize {
+        match &self.strategy {
+            RouteStrategy::OneToOne => self.consumers[self.producer_partition].len(),
+            _ => self.consumers.iter().map(|c| c.len()).max().unwrap_or(0),
+        }
+    }
 }
 
 impl std::fmt::Debug for RouterWriter {

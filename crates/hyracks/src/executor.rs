@@ -12,9 +12,7 @@
 //! Back-pressure survives the translation: a task whose output ports are
 //! saturated *yields* ([`SliceState::Pending`]) instead of blocking, and is
 //! re-woken when a consumer drains below capacity. Dedicated threads
-//! (blocking sources, the feed-flow pusher, TCP pumps) still use classic
-//! blocking sends — that blocking is the congestion mechanism Chapter 7
-//! studies.
+//! (blocking sources, TCP pumps) still use classic blocking sends.
 //!
 //! Tasks scheduled on a node observe the node's alive flag; when the node
 //! is killed they exit *without* closing their outputs — the frames in
@@ -177,6 +175,10 @@ impl FrameWriter for CountingWriter {
 
     fn is_saturated(&self) -> bool {
         self.inner.is_saturated()
+    }
+
+    fn queued_frames(&self) -> usize {
+        self.inner.queued_frames()
     }
 }
 

@@ -9,7 +9,7 @@
 //! * [`UnaryOperator`] — consumes frames pushed by an upstream operator and
 //!   emits frames downstream.
 
-use asterix_common::{DataFrame, IngestResult, Record};
+use asterix_common::{DataFrame, IngestError, IngestResult, Record};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -30,6 +30,11 @@ pub trait FrameWriter: Send {
     /// bounded queue report `false` (never saturated).
     fn is_saturated(&self) -> bool {
         false
+    }
+    /// Frames queued on the deepest downstream queue behind this writer
+    /// (read-only; writers with no bounded queue report 0).
+    fn queued_frames(&self) -> usize {
+        0
     }
 }
 
@@ -119,7 +124,13 @@ pub enum SourcePoll {
 pub trait SourceOperator: Send {
     /// Produce frames into `output` until done or `stop` fires. The engine
     /// calls `output.open()` before and `output.close()`/`fail()` after.
-    fn run(&mut self, output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()>;
+    /// Only non-cooperative sources are driven this way; cooperative ones
+    /// keep the default, which has no blocking loop to run.
+    fn run(&mut self, _output: &mut dyn FrameWriter, _stop: &StopToken) -> IngestResult<()> {
+        Err(IngestError::Plan(
+            "cooperative source has no blocking run loop".into(),
+        ))
+    }
 
     /// Whether this source supports slice-at-a-time execution via
     /// [`poll_produce`](SourceOperator::poll_produce).
