@@ -13,7 +13,7 @@
 //!   available via [`AsterixEngine::rewrite_connect`] for inspection).
 
 use crate::ast::{Expr, Statement, TypeExpr};
-use crate::eval::{eval, eval_flwor, Env, EvalContext};
+use crate::eval::{eval, eval_bound, eval_flwor, Env, EvalContext};
 use crate::rewrite::{self, ChainStep};
 use crate::route::compile_route_predicate;
 use asterix_adm::{payload_from_value, AdmType, AdmValue, Field, RecordType};
@@ -51,10 +51,17 @@ pub enum ExecOutcome {
     Rows(Vec<AdmValue>),
 }
 
+/// An AQL function: its parameter and body, shared (never re-cloned) by
+/// every call.
+struct AqlBody {
+    param: String,
+    body: Expr,
+}
+
 /// Shared state the engine's UDF closures capture.
 struct EngineShared {
-    /// AQL function bodies: name → (parameter, body).
-    aql_bodies: Mutex<HashMap<String, (String, Expr)>>,
+    /// AQL function bodies by name.
+    aql_bodies: Mutex<HashMap<String, Arc<AqlBody>>>,
 }
 
 struct BodiesContext<'a> {
@@ -75,12 +82,7 @@ impl EvalContext for BodiesContext<'_> {
     fn call_udf(&self, name: &str, arg: &AdmValue) -> IngestResult<AdmValue> {
         let body = self.shared.aql_bodies.lock().get(name).cloned();
         match body {
-            Some((param, expr)) => {
-                let mut env = Env::new();
-                env.insert(param, arg.clone());
-                let out = eval(&expr, &env, self)?;
-                Ok(unwrap_singleton(out))
-            }
+            Some(f) => eval_bound(&f.body, &f.param, arg, self).map(unwrap_singleton),
             None => match self.catalog {
                 Some(c) => c.function(name)?.apply(arg),
                 None => Err(IngestError::Metadata(format!("unknown function '{name}'"))),
@@ -282,35 +284,23 @@ impl AsterixEngine {
                 Ok(ExecOutcome::Done(format!("secondary feed {name} created")))
             }
             Statement::CreateFunction { name, param, body } => {
-                self.shared
-                    .aql_bodies
-                    .lock()
-                    .insert(name.clone(), (param.clone(), body.clone()));
+                let f = Arc::new(AqlBody { param, body });
                 // register an executable UDF with the feeds catalog: the
-                // body is evaluated through the engine's evaluator
+                // body is evaluated through the engine's evaluator, with the
+                // record bound by reference
                 let shared = Arc::clone(&self.shared);
-                let fn_name = name.clone();
+                let call = Arc::clone(&f);
                 let udf = Udf::aql(name.clone(), move |record| {
-                    let body =
-                        shared
-                            .aql_bodies
-                            .lock()
-                            .get(&fn_name)
-                            .cloned()
-                            .ok_or_else(|| {
-                                IngestError::Metadata(format!("function '{fn_name}' dropped"))
-                            })?;
                     let ctx = BodiesContext {
                         shared: &shared,
                         catalog: None,
                     };
-                    let mut env = Env::new();
-                    env.insert(body.0, record.clone());
-                    let out =
-                        eval(&body.1, &env, &ctx).map_err(|e| IngestError::soft(e.to_string()))?;
-                    Ok(unwrap_singleton(out))
+                    eval_bound(&call.body, &call.param, record, &ctx)
+                        .map(unwrap_singleton)
+                        .map_err(|e| IngestError::soft(e.to_string()))
                 });
                 self.catalog.create_function(udf)?;
+                self.shared.aql_bodies.lock().insert(name.clone(), f);
                 Ok(ExecOutcome::Done(format!("function {name} created")))
             }
             Statement::CreatePolicy { name, base, params } => {
@@ -423,7 +413,9 @@ impl AsterixEngine {
             .iter()
             .filter_map(|f| f.udf.clone())
             .map(|fn_name| {
-                let inline = bodies.get(&fn_name).cloned();
+                let inline = bodies
+                    .get(&fn_name)
+                    .map(|f| (f.param.clone(), f.body.clone()));
                 // external functions (not AQL-defined) stay opaque
                 let inline = match self.catalog.function(&fn_name) {
                     Ok(u) if u.kind == UdfKind::External => None,

@@ -12,6 +12,7 @@ use asterix_adm::functions as builtins;
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 use asterix_storage::Dataset;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -44,80 +45,138 @@ impl EvalContext for EmptyContext {
 /// Variable bindings.
 pub type Env = HashMap<String, AdmValue>;
 
+/// The evaluator's variable scope: the caller's [`Env`] at the root, then a
+/// chain of stack-allocated bindings, innermost first. Binding a variable
+/// borrows its value; nothing is copied until an expression constructs a
+/// new value.
+enum Scope<'a> {
+    Root(&'a Env),
+    Bind(&'a str, &'a AdmValue, &'a Scope<'a>),
+}
+
+impl<'a> Scope<'a> {
+    fn lookup(&self, name: &str) -> Option<&'a AdmValue> {
+        let mut scope = self;
+        loop {
+            match scope {
+                Scope::Root(env) => return env.get(name),
+                Scope::Bind(var, value, _) if *var == name => return Some(value),
+                Scope::Bind(_, _, parent) => scope = parent,
+            }
+        }
+    }
+}
+
 /// Evaluate `expr` under `env`.
 pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmValue> {
+    eval_in(expr, &Scope::Root(env), ctx).map(Cow::into_owned)
+}
+
+/// Evaluate `expr` with `var` bound to `value` and nothing else — a UDF
+/// call. The argument is borrowed, not copied into an environment.
+pub(crate) fn eval_bound(
+    expr: &Expr,
+    var: &str,
+    value: &AdmValue,
+    ctx: &dyn EvalContext,
+) -> IngestResult<AdmValue> {
+    let root = Env::new();
+    eval_in(expr, &Scope::Bind(var, value, &Scope::Root(&root)), ctx).map(Cow::into_owned)
+}
+
+/// Evaluate a FLWOR expression to its row sequence.
+pub fn eval_flwor(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<Vec<AdmValue>> {
+    flwor_rows(expr, &Scope::Root(env), ctx)
+}
+
+/// The evaluator proper: variable reads and field paths borrow from the
+/// scope (or from the expression's literals); only constructors, operators,
+/// calls and dataset scans produce owned values.
+fn eval_in<'a>(
+    expr: &'a Expr,
+    scope: &Scope<'a>,
+    ctx: &dyn EvalContext,
+) -> IngestResult<Cow<'a, AdmValue>> {
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Var(name) => scope
+            .lookup(name)
+            .map(Cow::Borrowed)
             .ok_or_else(|| IngestError::Language(format!("unbound variable ${name}"))),
         Expr::DatasetScan(name) => {
             let ds = ctx.dataset(name)?;
-            Ok(AdmValue::OrderedList(ds.scan_all()))
+            Ok(Cow::Owned(AdmValue::OrderedList(ds.scan_all())))
         }
         Expr::FeedIntake(feed) => Err(IngestError::Plan(format!(
             "feed_intake(\"{feed}\") is a pipeline source, not an evaluable expression"
         ))),
-        Expr::FieldAccess(inner, field) => {
-            let v = eval(inner, env, ctx)?;
-            match &v {
-                AdmValue::Record(_) => Ok(v.field(field).cloned().unwrap_or(AdmValue::Missing)),
-                AdmValue::Null | AdmValue::Missing => Ok(AdmValue::Missing),
+        Expr::FieldAccess(inner, field) => match eval_in(inner, scope, ctx)? {
+            Cow::Borrowed(v @ AdmValue::Record(_)) => Ok(v
+                .field(field)
+                .map_or(Cow::Owned(AdmValue::Missing), Cow::Borrowed)),
+            // an owned record gives up the one field; the rest is dropped
+            Cow::Owned(AdmValue::Record(fields)) => Ok(Cow::Owned(
+                fields
+                    .into_iter()
+                    .find(|(k, _)| k == field)
+                    .map_or(AdmValue::Missing, |(_, v)| v),
+            )),
+            v => match v.as_ref() {
+                AdmValue::Null | AdmValue::Missing => Ok(Cow::Owned(AdmValue::Missing)),
                 other => Err(IngestError::Type(format!(
                     "field access on non-record {}",
                     other.type_name()
                 ))),
-            }
-        }
+            },
+        },
         Expr::RecordCtor(fields) => {
             let mut out = Vec::with_capacity(fields.len());
             for (k, e) in fields {
-                out.push((k.clone(), eval(e, env, ctx)?));
+                out.push((k.clone(), eval_in(e, scope, ctx)?.into_owned()));
             }
-            Ok(AdmValue::Record(out))
+            Ok(Cow::Owned(AdmValue::Record(out)))
         }
         Expr::ListCtor(items) => {
             let mut out = Vec::with_capacity(items.len());
             for e in items {
-                out.push(eval(e, env, ctx)?);
+                out.push(eval_in(e, scope, ctx)?.into_owned());
             }
-            Ok(AdmValue::OrderedList(out))
+            Ok(Cow::Owned(AdmValue::OrderedList(out)))
         }
         Expr::Call(name, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(a, env, ctx)?);
+                vals.push(eval_in(a, scope, ctx)?);
             }
-            call_function(name, &vals, ctx)
+            call_function(name, &vals, ctx).map(Cow::Owned)
         }
         Expr::Bin(op, lhs, rhs) => {
-            let l = eval(lhs, env, ctx)?;
+            let l = eval_in(lhs, scope, ctx)?;
             // short-circuit booleans
             match op {
                 BinOp::And => {
                     if l.as_bool() == Some(false) {
-                        return Ok(AdmValue::Boolean(false));
+                        return Ok(Cow::Owned(AdmValue::Boolean(false)));
                     }
-                    let r = eval(rhs, env, ctx)?;
-                    return bool_op(&l, &r, |a, b| a && b);
+                    let r = eval_in(rhs, scope, ctx)?;
+                    return bool_op(&l, &r, |a, b| a && b).map(Cow::Owned);
                 }
                 BinOp::Or => {
                     if l.as_bool() == Some(true) {
-                        return Ok(AdmValue::Boolean(true));
+                        return Ok(Cow::Owned(AdmValue::Boolean(true)));
                     }
-                    let r = eval(rhs, env, ctx)?;
-                    return bool_op(&l, &r, |a, b| a || b);
+                    let r = eval_in(rhs, scope, ctx)?;
+                    return bool_op(&l, &r, |a, b| a || b).map(Cow::Owned);
                 }
                 _ => {}
             }
-            let r = eval(rhs, env, ctx)?;
-            apply_binop(*op, &l, &r)
+            let r = eval_in(rhs, scope, ctx)?;
+            apply_binop(*op, &l, &r).map(Cow::Owned)
         }
         Expr::Not(inner) => {
-            let v = eval(inner, env, ctx)?;
+            let v = eval_in(inner, scope, ctx)?;
             v.as_bool()
-                .map(|b| AdmValue::Boolean(!b))
+                .map(|b| Cow::Owned(AdmValue::Boolean(!b)))
                 .ok_or_else(|| IngestError::Type("not on non-boolean".into()))
         }
         Expr::Some {
@@ -125,13 +184,13 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmVa
             source,
             predicate,
         } => {
-            let coll = eval(source, env, ctx)?;
+            let coll = eval_in(source, scope, ctx)?;
             let items = match coll.as_list() {
                 Some(items) => items,
                 // `some $x in missing` is false, not an error (optional
                 // fields)
-                None if matches!(coll, AdmValue::Null | AdmValue::Missing) => {
-                    return Ok(AdmValue::Boolean(false))
+                None if matches!(*coll, AdmValue::Null | AdmValue::Missing) => {
+                    return Ok(Cow::Owned(AdmValue::Boolean(false)))
                 }
                 None => {
                     return Err(IngestError::Type(format!(
@@ -140,24 +199,44 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmVa
                     )))
                 }
             };
-            let mut scoped = env.clone();
             for item in items {
-                scoped.insert(var.clone(), item.clone());
-                if eval(predicate, &scoped, ctx)?.as_bool() == Some(true) {
-                    return Ok(AdmValue::Boolean(true));
+                let inner = Scope::Bind(var, item, scope);
+                if eval_in(predicate, &inner, ctx)?.as_bool() == Some(true) {
+                    return Ok(Cow::Owned(AdmValue::Boolean(true)));
                 }
             }
-            Ok(AdmValue::Boolean(false))
+            Ok(Cow::Owned(AdmValue::Boolean(false)))
         }
-        Expr::Flwor { .. } => {
-            let rows = eval_flwor(expr, env, ctx)?;
-            Ok(AdmValue::OrderedList(rows))
-        }
+        Expr::Flwor { .. } => Ok(Cow::Owned(AdmValue::OrderedList(flwor_rows(
+            expr, scope, ctx,
+        )?))),
     }
 }
 
-/// Evaluate a FLWOR expression to its row sequence.
-pub fn eval_flwor(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<Vec<AdmValue>> {
+/// One FLWOR evaluation. Each binding streams depth-first through the
+/// remaining clauses, so rows come out in nested-loop order and no
+/// environment is ever materialized per row.
+struct Flwor<'e> {
+    clauses: &'e [FlworClause],
+    where_clause: Option<&'e Expr>,
+    ret: &'e Expr,
+    /// `(clause index, rows)` of each projected dataset scan, fetched once
+    /// up front (a dataset scan does not depend on the outer bindings).
+    prescanned: Vec<(usize, Vec<AdmValue>)>,
+}
+
+/// What the innermost clause produces per binding: return rows, or
+/// `(group key, with-values)` pairs awaiting the group-by return.
+enum Sink<'e> {
+    Rows(Vec<AdmValue>),
+    Groups(&'e GroupBy, Vec<(AdmValue, Vec<AdmValue>)>),
+}
+
+fn flwor_rows(
+    expr: &Expr,
+    scope: &Scope<'_>,
+    ctx: &dyn EvalContext,
+) -> IngestResult<Vec<AdmValue>> {
     let Expr::Flwor {
         clauses,
         where_clause,
@@ -167,88 +246,116 @@ pub fn eval_flwor(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult
     else {
         return Err(IngestError::Language("not a FLWOR expression".into()));
     };
-    // expand clauses into a stream of environments
-    let mut envs = vec![env.clone()];
+    // projection pushdown: a dataset scan whose bound variable is only ever
+    // used through direct field accesses downstream scans just those fields
+    // — on compacted components only the requested columns are decoded
+    let mut prescanned = Vec::new();
     for (ci, clause) in clauses.iter().enumerate() {
-        match clause {
-            FlworClause::For { var, source } => {
-                // projection pushdown: a dataset scan whose bound variable
-                // is only ever used through direct field accesses downstream
-                // scans just those fields — on compacted components only the
-                // requested columns are decoded
-                let prescanned: Option<Vec<AdmValue>> = if let Expr::DatasetScan(name) = source {
-                    match projection_for(
-                        var,
-                        &clauses[ci + 1..],
-                        where_clause.as_deref(),
-                        group_by.as_ref(),
-                        ret,
-                    ) {
-                        Some(fields) => Some(ctx.dataset(name)?.scan_projected(&fields)),
-                        None => None,
-                    }
-                } else {
-                    None
-                };
-                let mut next = Vec::new();
-                for e in envs {
-                    let items: Vec<AdmValue> = match &prescanned {
-                        Some(items) => items.clone(),
-                        None => {
-                            let coll = eval(source, &e, ctx)?;
-                            match coll {
-                                AdmValue::OrderedList(v) | AdmValue::UnorderedList(v) => v,
-                                AdmValue::Null | AdmValue::Missing => Vec::new(),
-                                other => {
-                                    return Err(IngestError::Type(format!(
-                                        "for..in over non-collection {}",
-                                        other.type_name()
-                                    )))
-                                }
-                            }
-                        }
-                    };
-                    for item in items {
-                        let mut e2 = e.clone();
-                        e2.insert(var.clone(), item);
-                        next.push(e2);
-                    }
-                }
-                envs = next;
-            }
-            FlworClause::Let { var, value } => {
-                for e in envs.iter_mut() {
-                    let v = eval(value, e, ctx)?;
-                    e.insert(var.clone(), v);
-                }
+        if let FlworClause::For {
+            var,
+            source: Expr::DatasetScan(name),
+        } = clause
+        {
+            if let Some(fields) = projection_for(
+                var,
+                &clauses[ci + 1..],
+                where_clause.as_deref(),
+                group_by.as_ref(),
+                ret,
+            ) {
+                prescanned.push((ci, ctx.dataset(name)?.scan_projected(&fields)));
             }
         }
     }
-    // where
-    if let Some(pred) = where_clause {
-        let mut kept = Vec::new();
-        for e in envs {
-            if eval(pred, &e, ctx)?.as_bool() == Some(true) {
-                kept.push(e);
-            }
-        }
-        envs = kept;
-    }
-    // group by
-    match group_by {
-        None => {
-            let mut rows = Vec::with_capacity(envs.len());
-            for e in &envs {
-                rows.push(eval(ret, e, ctx)?);
+    let flwor = Flwor {
+        clauses,
+        where_clause: where_clause.as_deref(),
+        ret,
+        prescanned,
+    };
+    let mut sink = match group_by {
+        None => Sink::Rows(Vec::new()),
+        Some(g) => Sink::Groups(g, Vec::new()),
+    };
+    flwor.bind(0, scope, ctx, &mut sink)?;
+    match sink {
+        Sink::Rows(rows) => Ok(rows),
+        Sink::Groups(g, groups) => {
+            // the return sees the enclosing scope plus the key and the
+            // with-list — not the per-row bindings
+            let mut rows = Vec::with_capacity(groups.len());
+            for (key, items) in groups {
+                let items = AdmValue::OrderedList(items);
+                let keyed = Scope::Bind(&g.key_var, &key, scope);
+                let grouped = Scope::Bind(&g.with_var, &items, &keyed);
+                rows.push(eval_in(ret, &grouped, ctx)?.into_owned());
             }
             Ok(rows)
         }
-        Some(g) => {
-            // group environments by key (total order on ADM values)
-            let mut groups: Vec<(AdmValue, Vec<AdmValue>)> = Vec::new();
-            for e in &envs {
-                let key = eval(&g.key_expr, e, ctx)?;
-                let with_val = e.get(&g.with_var).cloned().ok_or_else(|| {
+    }
+}
+
+impl Flwor<'_> {
+    /// Bind clause `ci` under `scope` and recurse into the next clause for
+    /// each binding; past the last clause, filter and emit into `sink`.
+    fn bind(
+        &self,
+        ci: usize,
+        scope: &Scope<'_>,
+        ctx: &dyn EvalContext,
+        sink: &mut Sink<'_>,
+    ) -> IngestResult<()> {
+        let Some(clause) = self.clauses.get(ci) else {
+            return self.emit(scope, ctx, sink);
+        };
+        match clause {
+            FlworClause::For { var, source } => {
+                let coll;
+                let items: &[AdmValue] = match self.prescanned.iter().find(|(i, _)| *i == ci) {
+                    Some((_, rows)) => rows,
+                    None => {
+                        coll = eval_in(source, scope, ctx)?;
+                        match coll.as_ref() {
+                            AdmValue::OrderedList(v) | AdmValue::UnorderedList(v) => v,
+                            AdmValue::Null | AdmValue::Missing => &[],
+                            other => {
+                                return Err(IngestError::Type(format!(
+                                    "for..in over non-collection {}",
+                                    other.type_name()
+                                )))
+                            }
+                        }
+                    }
+                };
+                for item in items {
+                    self.bind(ci + 1, &Scope::Bind(var, item, scope), ctx, sink)?;
+                }
+                Ok(())
+            }
+            FlworClause::Let { var, value } => {
+                let v = eval_in(value, scope, ctx)?;
+                self.bind(ci + 1, &Scope::Bind(var, &v, scope), ctx, sink)
+            }
+        }
+    }
+
+    fn emit(
+        &self,
+        scope: &Scope<'_>,
+        ctx: &dyn EvalContext,
+        sink: &mut Sink<'_>,
+    ) -> IngestResult<()> {
+        if let Some(pred) = self.where_clause {
+            if eval_in(pred, scope, ctx)?.as_bool() != Some(true) {
+                return Ok(());
+            }
+        }
+        match sink {
+            Sink::Rows(rows) => rows.push(eval_in(self.ret, scope, ctx)?.into_owned()),
+            Sink::Groups(g, groups) => {
+                // group by key (total order on ADM values)
+                let key = eval_in(&g.key_expr, scope, ctx)?.into_owned();
+                let with_val = scope.lookup(&g.with_var).cloned().ok_or_else(|| {
                     IngestError::Language(format!(
                         "group-by with-variable ${} is unbound",
                         g.with_var
@@ -262,15 +369,8 @@ pub fn eval_flwor(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult
                     None => groups.push((key, vec![with_val])),
                 }
             }
-            let mut rows = Vec::with_capacity(groups.len());
-            for (key, items) in groups {
-                let mut e = env.clone();
-                e.insert(g.key_var.clone(), key);
-                e.insert(g.with_var.clone(), AdmValue::OrderedList(items));
-                rows.push(eval(ret, &e, ctx)?);
-            }
-            Ok(rows)
         }
+        Ok(())
     }
 }
 
@@ -447,8 +547,17 @@ fn apply_binop(op: BinOp, l: &AdmValue, r: &AdmValue) -> IngestResult<AdmValue> 
     }
 }
 
+/// Room for the longest builtin name; longer names can only be UDFs.
+const MAX_BUILTIN_NAME: usize = 24;
+
 /// Dispatch a function call: builtins first, then the context's UDFs.
-fn call_function(name: &str, args: &[AdmValue], ctx: &dyn EvalContext) -> IngestResult<AdmValue> {
+/// Builtin names match case-insensitively; the name is lowercased into a
+/// stack buffer, so dispatch never allocates.
+fn call_function(
+    name: &str,
+    args: &[Cow<'_, AdmValue>],
+    ctx: &dyn EvalContext,
+) -> IngestResult<AdmValue> {
     let arity = |n: usize| -> IngestResult<()> {
         if args.len() == n {
             Ok(())
@@ -459,7 +568,16 @@ fn call_function(name: &str, args: &[AdmValue], ctx: &dyn EvalContext) -> Ingest
             )))
         }
     };
-    match name.to_ascii_lowercase().as_str() {
+    let mut buf = [0u8; MAX_BUILTIN_NAME];
+    let lower = match buf.get_mut(..name.len()) {
+        Some(dst) => {
+            dst.copy_from_slice(name.as_bytes());
+            dst.make_ascii_lowercase();
+            std::str::from_utf8(dst).unwrap_or_default()
+        }
+        None => "",
+    };
+    match lower {
         "word-tokens" => {
             arity(1)?;
             builtins::word_tokens(&args[0])

@@ -1,11 +1,14 @@
 //! Criterion microbenchmarks over the substrate hot paths: ADM
 //! parse/print, value hashing, LSM and R-tree operations, feed-joint
-//! routing, the WAL, and the UDF sandbox.
+//! routing, the WAL, and the UDF sandbox — native and AQL-defined.
 
 use asterix_adm::{hash::hash_value, parse_value, to_adm_string, AdmPayloadExt, AdmValue};
-use asterix_common::{DataFrame, Record, RecordId};
+use asterix_aql::AsterixEngine;
+use asterix_common::{DataFrame, Record, RecordId, SimClock};
+use asterix_feeds::controller::ControllerConfig;
 use asterix_feeds::joint::FeedJoint;
 use asterix_feeds::udf::Udf;
+use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_storage::lsm::{LsmConfig, LsmTree};
 use asterix_storage::partition::{DatasetPartition, PartitionConfig};
 use asterix_storage::rtree::{RTree, Rect};
@@ -47,6 +50,19 @@ fn bench_lsm(c: &mut Criterion) {
     }
     c.bench_function("lsm/get_hit", |b| {
         b.iter(|| black_box(t.get(&AdmValue::Int(5000))))
+    });
+    // the live walk merges the memtable and every sealed component
+    let mut stacked = LsmTree::new(LsmConfig {
+        memtable_budget: 5_000,
+        defer_merge: true,
+        ..LsmConfig::default()
+    });
+    for i in 0..20_000 {
+        stacked.put(AdmValue::Int(i), AdmValue::Int(i));
+    }
+    assert_eq!(stacked.component_count(), 4);
+    c.bench_function("lsm/live_walk", |b| {
+        b.iter(|| black_box(stacked.live_count()))
     });
 }
 
@@ -110,6 +126,31 @@ fn bench_udf(c: &mut Criterion) {
     c.bench_function("udf/add_hash_tags", |b| {
         b.iter(|| add_tags.apply(black_box(&tweet)).unwrap())
     });
+    // the same function written in AQL (Listing 4.2), evaluated per record
+    // through the engine
+    let cluster = Cluster::start(1, SimClock::with_scale(1.0), ClusterConfig::default());
+    let engine = AsterixEngine::start(cluster.clone(), ControllerConfig::default());
+    engine
+        .execute(
+            r##"create function addHashTags($x) {
+                let $topics := (for $token in word-tokens($x.message_text)
+                                where starts-with($token, "#")
+                                return $token)
+                return {
+                    "id": $x.id, "user": $x.user, "latitude": $x.latitude,
+                    "longitude": $x.longitude, "created_at": $x.created_at,
+                    "message_text": $x.message_text, "country": $x.country,
+                    "topics": $topics
+                };
+            };"##,
+        )
+        .unwrap();
+    let aql_tags = engine.catalog().function("addHashTags").unwrap();
+    c.bench_function("aql/add_hash_tags_engine", |b| {
+        b.iter(|| aql_tags.apply(black_box(&tweet)).unwrap())
+    });
+    engine.controller().shutdown();
+    cluster.shutdown();
     let spin = Udf::busy_spin("bench", 10_000);
     c.bench_function("udf/busy_spin_10k", |b| {
         b.iter(|| spin.apply(black_box(&tweet)).unwrap())

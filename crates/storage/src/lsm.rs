@@ -14,9 +14,9 @@
 //! merge policies, the "constant" policy), which keeps a standalone tree
 //! self-contained.
 //!
-//! Reads consult the memtable first, then components newest-to-oldest;
-//! deletes are tombstones that shadow older versions until a merge discards
-//! them. Values are `Arc`-shared with the caller: an insert through
+//! Point reads consult the memtable first, then components newest-to-oldest;
+//! scans, counts and merges run one k-way merge over all of them; deletes
+//! are tombstones that shadow older versions until a merge discards them. Values are `Arc`-shared with the caller: an insert through
 //! [`LsmTree::put_shared`] stores the caller's `Arc` directly — no deep
 //! clone of the record on the hot path.
 //!
@@ -41,7 +41,8 @@ use crate::KeyOrd;
 use asterix_adm::compact::{CompactedBlock, OpenBlock};
 use asterix_adm::schema::SchemaBuilder;
 use asterix_adm::AdmValue;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -282,27 +283,19 @@ pub fn merge_components_with(
     spin_per_entry: u64,
     layout: &LayoutConfig,
 ) -> Component {
-    // newest version of each key wins: walk oldest → newest, later inserts
-    // overwrite. Everything here is a borrow; nothing is cloned yet.
-    let mut newest: BTreeMap<&KeyOrd, &Entry> = BTreeMap::new();
-    for c in inputs.iter().rev() {
-        for (k, e) in c.iter() {
-            newest.insert(k, e);
-        }
-    }
+    // newest version of each key wins; the walk borrows, and each survivor
+    // is cloned once (key clone + `Arc` bump)
     let mut entries = BTreeMap::new();
-    for (k, e) in newest {
-        if let Entry::Put(v) = e {
-            if spin_per_entry > 0 {
-                let mut acc = 0u64;
-                for i in 0..spin_per_entry {
-                    acc = acc.wrapping_add(i).rotate_left(1);
-                }
-                std::hint::black_box(acc);
+    walk_live(inputs.iter().map(|c| Run::sealed(c, None, None)), |k, r| {
+        if spin_per_entry > 0 {
+            let mut acc = 0u64;
+            for i in 0..spin_per_entry {
+                acc = acc.wrapping_add(i).rotate_left(1);
             }
-            entries.insert(k.clone(), Entry::Put(Arc::clone(v)));
+            std::hint::black_box(acc);
         }
-    }
+        entries.insert(k.clone(), Entry::Put(Arc::clone(r.shared())));
+    });
     // Slot stability across the merge: the intersection of the inputs'
     // slot sets (only meaningful when every input carried a compacted
     // image — a fallback input has no slots to preserve).
@@ -321,6 +314,94 @@ pub fn merge_components_with(
         })
         .flatten();
     build_component(entries, layout, stable.as_deref())
+}
+
+/// The key range `lo..=hi`, either end open when `None`.
+fn key_range<'k>(
+    lo: Option<&'k KeyOrd>,
+    hi: Option<&'k KeyOrd>,
+) -> (Bound<&'k KeyOrd>, Bound<&'k KeyOrd>) {
+    (
+        lo.map_or(Bound::Unbounded, Bound::Included),
+        hi.map_or(Bound::Unbounded, Bound::Included),
+    )
+}
+
+/// One sorted run of a live walk: the memtable or a sealed component,
+/// positioned at the start of the walked key range.
+struct Run<'a> {
+    entries: Peekable<btree_map::Range<'a, KeyOrd, Entry>>,
+    /// The component, `None` for the memtable.
+    component: Option<&'a Component>,
+    /// Storage-image row of the component's next live entry.
+    row: usize,
+}
+
+impl<'a> Run<'a> {
+    fn mem(
+        memtable: &'a BTreeMap<KeyOrd, Entry>,
+        lo: Option<&KeyOrd>,
+        hi: Option<&KeyOrd>,
+    ) -> Self {
+        Run {
+            entries: memtable.range(key_range(lo, hi)).peekable(),
+            component: None,
+            row: 0,
+        }
+    }
+
+    fn sealed(c: &'a Component, lo: Option<&KeyOrd>, hi: Option<&KeyOrd>) -> Self {
+        Run {
+            entries: c.entries.range(key_range(lo, hi)).peekable(),
+            component: Some(c),
+            // live entries below the range still occupy image rows
+            row: lo.map_or(0, |l| c.put_keys.partition_point(|k| k < l)),
+        }
+    }
+}
+
+/// The live walk: a k-way merge over sorted `runs`, newest first, calling
+/// `f` with the newest version of every live key in key order. On equal
+/// keys the newer run wins and the older versions are skipped; a winning
+/// tombstone hides the key. Every run counts the live entries it passes,
+/// so a [`LiveRef::Sealed`] addresses its row of the component's storage
+/// image even when an older or shadowed run supplied the neighbours.
+fn walk_live<'a>(
+    runs: impl IntoIterator<Item = Run<'a>>,
+    mut f: impl FnMut(&'a KeyOrd, LiveRef<'a>),
+) {
+    let mut runs: Vec<Run<'a>> = runs.into_iter().collect();
+    loop {
+        // the smallest head key; the first (newest) run holding it wins
+        let mut head: Option<(usize, &'a KeyOrd)> = None;
+        for (i, run) in runs.iter_mut().enumerate() {
+            if let Some(&(k, _)) = run.entries.peek() {
+                if head.is_none_or(|(_, min)| k < min) {
+                    head = Some((i, k));
+                }
+            }
+        }
+        let Some((winner, key)) = head else { return };
+        let mut live = None;
+        // runs before the winner hold larger keys; only later ones can tie
+        for (i, run) in runs.iter_mut().enumerate().skip(winner) {
+            let Some((_, e)) = run.entries.next_if(|&(k, _)| k == key) else {
+                continue;
+            };
+            if let Entry::Put(v) = e {
+                if i == winner {
+                    live = Some(match run.component {
+                        None => LiveRef::Mem(v),
+                        Some(c) => LiveRef::Sealed(c, run.row, v),
+                    });
+                }
+                run.row += 1;
+            }
+        }
+        if let Some(r) = live {
+            f(key, r);
+        }
+    }
 }
 
 /// Storage-layout policy for sealed components.
@@ -469,27 +550,9 @@ impl LsmTree {
         hi: Option<&AdmValue>,
         mut f: impl FnMut(&AdmValue, &AdmValue),
     ) {
-        let lo_b = lo
-            .map(|v| Bound::Included(KeyOrd(v.clone())))
-            .unwrap_or(Bound::Unbounded);
-        let hi_b = hi
-            .map(|v| Bound::Included(KeyOrd(v.clone())))
-            .unwrap_or(Bound::Unbounded);
-        // newest version of each key wins; borrows only
-        let mut newest: BTreeMap<&KeyOrd, &Entry> = BTreeMap::new();
-        for c in self.components.iter().rev() {
-            for (k, e) in c.entries.range((lo_b.clone(), hi_b.clone())) {
-                newest.insert(k, e);
-            }
-        }
-        for (k, e) in self.memtable.range((lo_b, hi_b)) {
-            newest.insert(k, e);
-        }
-        for (k, e) in newest {
-            if let Entry::Put(v) = e {
-                f(&k.0, v);
-            }
-        }
+        let lo = lo.map(|v| KeyOrd(v.clone()));
+        let hi = hi.map(|v| KeyOrd(v.clone()));
+        self.walk(lo.as_ref(), hi.as_ref(), |k, r| f(&k.0, r.shared()));
     }
 
     /// Visit every live record in key order — by reference, no cloning.
@@ -502,39 +565,22 @@ impl LsmTree {
     /// storage-image row, so per-field reads decode one column cell instead
     /// of touching the whole record.
     pub fn for_each_live_ref(&self, mut f: impl FnMut(&AdmValue, LiveRef<'_>)) {
-        enum Src<'a> {
-            Mem(&'a Entry),
-            Comp(usize, usize, &'a Entry),
-        }
-        let mut newest: BTreeMap<&KeyOrd, Src> = BTreeMap::new();
-        // oldest → newest so later versions overwrite; row counters track
-        // each component's live entries in key order (its image row order)
-        for (ci, c) in self.components.iter().enumerate().rev() {
-            let mut row = 0usize;
-            for (k, e) in c.entries.iter() {
-                match e {
-                    Entry::Put(_) => {
-                        newest.insert(k, Src::Comp(ci, row, e));
-                        row += 1;
-                    }
-                    Entry::Tombstone => {
-                        newest.insert(k, Src::Comp(ci, 0, e));
-                    }
-                }
-            }
-        }
-        for (k, e) in self.memtable.iter() {
-            newest.insert(k, Src::Mem(e));
-        }
-        for (k, src) in newest {
-            match src {
-                Src::Mem(Entry::Put(v)) => f(&k.0, LiveRef::Mem(v)),
-                Src::Comp(ci, row, Entry::Put(v)) => {
-                    f(&k.0, LiveRef::Sealed(&self.components[ci], row, v))
-                }
-                _ => {}
-            }
-        }
+        self.walk(None, None, |k, r| f(&k.0, r));
+    }
+
+    /// [`walk_live`] over `lo..=hi` of the memtable and the components,
+    /// newest first.
+    fn walk<'a>(
+        &'a self,
+        lo: Option<&KeyOrd>,
+        hi: Option<&KeyOrd>,
+        f: impl FnMut(&'a KeyOrd, LiveRef<'a>),
+    ) {
+        let sealed = self.components.iter().map(|c| Run::sealed(c, lo, hi));
+        walk_live(
+            std::iter::once(Run::mem(&self.memtable, lo, hi)).chain(sealed),
+            f,
+        );
     }
 
     /// Visit one field of every live record — single-field scans touch one
@@ -608,7 +654,7 @@ impl LsmTree {
     /// Count of live records (full walk, but nothing is cloned).
     pub fn live_count(&self) -> usize {
         let mut n = 0;
-        self.for_each_live(|_, _| n += 1);
+        self.walk(None, None, |_, _| n += 1);
         n
     }
 
@@ -1036,6 +1082,30 @@ mod tests {
             })
             .collect();
         assert_eq!(scanned, full);
+    }
+
+    #[test]
+    fn ranged_walk_addresses_image_rows() {
+        let mut t = LsmTree::new(LsmConfig {
+            memtable_budget: 4,
+            max_components: 10,
+            defer_merge: true,
+            layout: LayoutConfig::default(),
+        });
+        for i in 0..12 {
+            t.put(k(i), rec(i));
+        }
+        t.delete(k(6));
+        t.put(k(7), rec(700));
+        let lo = KeyOrd(k(5));
+        let mut seen = Vec::new();
+        t.walk(Some(&lo), None, |key, r| {
+            if let LiveRef::Sealed(..) = r {
+                assert_eq!(r.field("name"), r.shared().field("name").cloned());
+            }
+            seen.push(key.0.as_int().unwrap());
+        });
+        assert_eq!(seen, vec![5, 7, 8, 9, 10, 11]);
     }
 
     #[test]

@@ -437,7 +437,7 @@ impl DatasetPartition {
     /// full records are never rebuilt.
     pub fn scan_field(&self, field: &str) -> Vec<(AdmValue, Option<AdmValue>)> {
         let st = self.inner.state.lock();
-        let mut out = Vec::with_capacity(st.primary.live_count());
+        let mut out = Vec::new();
         st.primary
             .for_each_live_field(field, |k, v| out.push((k.clone(), v)));
         out
@@ -448,7 +448,7 @@ impl DatasetPartition {
     /// Fields absent from a record are skipped (ADM `MISSING` semantics).
     pub fn scan_projected(&self, fields: &[String]) -> Vec<AdmValue> {
         let st = self.inner.state.lock();
-        let mut out = Vec::with_capacity(st.primary.live_count());
+        let mut out = Vec::new();
         st.primary.for_each_live_ref(|_, r| {
             let projected: Vec<(String, AdmValue)> = fields
                 .iter()

@@ -3,7 +3,7 @@
 
 use asterix_adm::AdmValue;
 use asterix_common::NodeId;
-use asterix_storage::lsm::{LayoutConfig, LsmConfig, LsmTree};
+use asterix_storage::lsm::{merge_components, LayoutConfig, LiveRef, LsmConfig, LsmTree};
 use asterix_storage::partition::{DatasetPartition, PartitionConfig};
 use asterix_storage::{Dataset, DatasetConfig};
 use proptest::prelude::*;
@@ -140,6 +140,77 @@ proptest! {
             }
         }
         prop_assert_eq!(open.schema_inferred_components(), 0);
+    }
+
+    /// The single merge walk over a deep component stack. With merges
+    /// deferred, puts, deletes, seals and merges of the oldest half of the
+    /// stack leave several components (compacted and open-fallback alike)
+    /// under the memtable. Every range scan equals a newest-wins model, and
+    /// every sealed row the walk addresses is the storage-image row of the
+    /// record it carries.
+    #[test]
+    fn live_walk_matches_model_over_stacked_components(
+        ops in prop::collection::vec(op_strategy(), 0..300),
+        ranges in prop::collection::vec((any::<u8>(), any::<u8>(), 0u8..4), 1..8),
+    ) {
+        let mut tree = LsmTree::new(LsmConfig {
+            memtable_budget: 8,
+            max_components: 2,
+            defer_merge: true,
+            ..LsmConfig::default()
+        });
+        let key = |k: u8| AdmValue::Int(i64::from(k));
+        let mut model: BTreeMap<u8, AdmValue> = BTreeMap::new();
+        for op in ops {
+            match op {
+                Op::Put(k, v) => {
+                    tree.put(key(k), layout_rec(k, v));
+                    model.insert(k, layout_rec(k, v));
+                }
+                Op::Delete(k) => {
+                    tree.delete(key(k));
+                    model.remove(&k);
+                }
+                Op::Flush => tree.flush(),
+                Op::Merge => {
+                    // an external compactor merging the oldest half
+                    let snap = tree.components_snapshot();
+                    let oldest = &snap[snap.len() / 2..];
+                    if !oldest.is_empty() {
+                        let merged = Arc::new(merge_components(oldest, 0));
+                        prop_assert!(tree.install_merged(oldest, merged));
+                    }
+                }
+            }
+        }
+        for (a, b, open_ends) in ranges {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let lo = (open_ends & 1 == 0).then_some(lo);
+            let hi = (open_ends & 2 == 0).then_some(hi);
+            let got = tree.scan_range(lo.map(key).as_ref(), hi.map(key).as_ref());
+            let want: Vec<(AdmValue, AdmValue)> = model
+                .iter()
+                .filter(|(k, _)| lo.is_none_or(|l| **k >= l) && hi.is_none_or(|h| **k <= h))
+                .map(|(k, v)| (key(*k), v.clone()))
+                .collect();
+            prop_assert_eq!(got, want, "range {:?}..={:?}", lo, hi);
+        }
+        let mut walked = Vec::new();
+        let mut misaligned = Vec::new();
+        tree.for_each_live_ref(|k, r| {
+            walked.push(k.clone());
+            if let LiveRef::Sealed(_, row, _) = r {
+                for f in ["id", "v", "extra", "zz_absent"] {
+                    if r.field(f) != r.shared().field(f).cloned() {
+                        misaligned.push((k.clone(), row, f));
+                    }
+                }
+            }
+        });
+        prop_assert!(misaligned.is_empty(), "rows off the image: {:?}", misaligned);
+        let want: Vec<AdmValue> = model.keys().map(|k| key(*k)).collect();
+        prop_assert_eq!(walked, want);
+        prop_assert_eq!(tree.live_count(), model.len());
     }
 
     /// Replaying the WAL reproduces the exact partition contents.
